@@ -50,7 +50,7 @@ func (r *chaosRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 // chaosCloud builds a parity-world cloud with the given fault-tolerance
 // configuration and a no-op backoff sleeper (delays stay in the schedule;
 // the test does not pay them in wall time).
-func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, retry RetryConfig, policy engine.ErrorPolicy) (*Cloud, *market.Prices) {
+func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, retry RetryConfig, policy engine.ErrorPolicy, opts ...func(*CloudConfig)) (*Cloud, *market.Prices) {
 	t.Helper()
 	prices, err := market.GeneratePrices(market.DefaultPriceConfig(), horizon, numeric.SplitRNG(seed, "chaos-prices"))
 	if err != nil {
@@ -60,7 +60,7 @@ func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, re
 	for i := range downloadCosts {
 		downloadCosts[i] = 0.4 + 0.2*float64(i)
 	}
-	cloud, err := NewCloud(CloudConfig{
+	cfg := CloudConfig{
 		Edges:         edges,
 		Horizon:       horizon,
 		DownloadCosts: downloadCosts,
@@ -71,7 +71,11 @@ func chaosCloud(t *testing.T, w *parityWorld, edges, horizon int, seed int64, re
 		Seed:          seed,
 		Retry:         retry,
 		Policy:        policy,
-	}, &paritySource{w: w})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	cloud, err := NewCloud(cfg, &paritySource{w: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,8 +510,7 @@ func TestCloudHandshakeTimeoutRejectsSilentClient(t *testing.T) {
 		seed    = int64(9)
 	)
 	w := newParityWorld(seed)
-	cloud, _ := chaosCloud(t, w, edges, horizon, seed, RetryConfig{}, engine.FailFast)
-	cloud.cfg.HandshakeTimeout = 150 * time.Millisecond
+	cloud, _ := chaosCloud(t, w, edges, horizon, seed, RetryConfig{}, engine.FailFast, func(c *CloudConfig) { c.HandshakeTimeout = 150 * time.Millisecond })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -143,26 +143,39 @@ func NewCloud(cfg CloudConfig, source ModelSource) (*Cloud, error) {
 	if source == nil {
 		return nil, fmt.Errorf("deploy: nil model source")
 	}
-	if cfg.Edges <= 0 {
+	ctrl, err := newController(cfg, source.NumModels())
+	if err != nil {
+		return nil, err
+	}
+	return &Cloud{cfg: cfg, source: source, ctrl: ctrl, edgeFleet: newEdgeFleet(fleetConfig{
+		count:     cfg.Edges,
+		horizon:   cfg.Horizon,
+		seed:      cfg.Seed,
+		handshake: cfg.HandshakeTimeout,
+		slot:      cfg.SlotTimeout,
+		retry:     cfg.Retry,
+	}, source)}, nil
+}
+
+// newController validates the configuration a Cloud and a Root share (a
+// Root passes its fields through a CloudConfig) and builds the run's
+// controller over a zoo of numModels models.
+func newController(cfg CloudConfig, numModels int) (*core.Controller, error) {
+	switch {
+	case cfg.Edges <= 0:
 		return nil, fmt.Errorf("deploy: need at least one edge, got %d", cfg.Edges)
-	}
-	if len(cfg.DownloadCosts) != cfg.Edges {
+	case len(cfg.DownloadCosts) != cfg.Edges:
 		return nil, fmt.Errorf("deploy: %d download costs for %d edges", len(cfg.DownloadCosts), cfg.Edges)
-	}
-	if cfg.Prices == nil || cfg.Prices.Horizon() < cfg.Horizon {
+	case cfg.Prices == nil || cfg.Prices.Horizon() < cfg.Horizon:
 		return nil, fmt.Errorf("deploy: price series shorter than horizon")
-	}
-	if cfg.Retry.Attempts < 0 {
-		return nil, fmt.Errorf("deploy: negative retry budget %d", cfg.Retry.Attempts)
-	}
-	if cfg.Retry.BaseDelay < 0 || cfg.Retry.MaxDelay < 0 || cfg.Retry.ResumeWait < 0 {
-		return nil, fmt.Errorf("deploy: negative retry delays")
-	}
-	if cfg.Policy != engine.FailFast && cfg.Policy != engine.Degrade {
+	case cfg.Policy != engine.FailFast && cfg.Policy != engine.Degrade:
 		return nil, fmt.Errorf("deploy: unknown error policy %d", cfg.Policy)
 	}
+	if err := cfg.Retry.validate(); err != nil {
+		return nil, err
+	}
 	ctrl, err := core.New(core.Config{
-		NumModels:     source.NumModels(),
+		NumModels:     numModels,
 		DownloadCosts: cfg.DownloadCosts,
 		Horizon:       cfg.Horizon,
 		InitialCap:    cfg.InitialCap,
@@ -174,22 +187,11 @@ func NewCloud(cfg CloudConfig, source ModelSource) (*Cloud, error) {
 		return nil, fmt.Errorf("deploy: controller: %w", err)
 	}
 	// The engine builds the run's meter; validate the rate up front so a
-	// bad configuration fails before any edge connects.
+	// bad configuration fails before any peer connects.
 	if _, err := energy.NewMeter(cfg.EmissionRate); err != nil {
 		return nil, err
 	}
-	c := &Cloud{cfg: cfg, source: source, ctrl: ctrl}
-	c.edgeFleet = newEdgeFleet(fleetConfig{
-		count:   cfg.Edges,
-		offset:  0,
-		horizon: cfg.Horizon,
-		seed:    cfg.Seed,
-		timeouts: func() (time.Duration, time.Duration) {
-			return c.cfg.HandshakeTimeout, c.cfg.SlotTimeout
-		},
-		retry: cfg.Retry,
-	}, source)
-	return c, nil
+	return ctrl, nil
 }
 
 // avgBuyPrice is the mean buy quote over the horizon: the price scale the
@@ -211,7 +213,7 @@ func avgBuyPrice(p *market.Prices, horizon int) float64 {
 // caller owns it), but Serve unblocks its own acceptor on return when the
 // listener supports deadlines (as TCP listeners do).
 func (c *Cloud) Serve(ln net.Listener) (*Summary, error) {
-	stop, err := c.awaitFleet(ln)
+	stop, err := c.serve(ln, c.edgeFleet)
 	if err != nil {
 		return nil, err
 	}
@@ -225,12 +227,7 @@ func (c *Cloud) Serve(ln net.Listener) (*Summary, error) {
 // every edge's assign/report exchange in flight concurrently, as before;
 // the retry layer and the error policy decide what a failed exchange means.
 func (c *Cloud) run() (*Summary, error) {
-	tcp := c.steppers()
-	steppers := make([]engine.EdgeStepper, len(tcp))
-	for i, s := range tcp {
-		steppers[i] = s
-	}
-	defer c.closeAll(tcp)
+	steppers := c.steppers(c.ranges[0], nil)
 	res, err := engine.Run(engine.Config{
 		Name:         "deploy",
 		Horizon:      c.cfg.Horizon,
@@ -239,15 +236,20 @@ func (c *Cloud) run() (*Summary, error) {
 		EmissionRate: c.cfg.EmissionRate,
 		Prices:       c.cfg.Prices,
 		SwitchCosts:  c.cfg.DownloadCosts,
-		Workers:      len(tcp),
+		Workers:      len(steppers),
 		Policy:       c.cfg.Policy,
 	}, c.ctrl, steppers)
+	links := c.members()
 	if err != nil {
-		return nil, c.abort(tcp, err)
-	}
-
-	if err := c.finish(tcp); err != nil && c.cfg.Policy == engine.FailFast {
+		_ = broadcast(links, &Message{Type: MsgError, Reason: err.Error()}) // best effort; we are already failing
 		return nil, err
 	}
-	return summaryFromResult(res, c.resumes()), nil
+	if err := broadcast(links, &Message{Type: MsgDone}); err != nil && c.cfg.Policy == engine.FailFast {
+		return nil, err
+	}
+	resumes := make([]int, len(links))
+	for i, l := range links {
+		resumes[i] = l.resumeCount()
+	}
+	return summaryFromResult(res, resumes), nil
 }

@@ -19,7 +19,7 @@ import (
 // buildDistributedWorld constructs a trained zoo, a cloud, and edge
 // runtimes that share only the dataset specification — the cloud never
 // sees edge data, edges never see the training pool.
-func buildDistributedWorld(t *testing.T, edges, horizon int) (*Cloud, []*NNRuntime) {
+func buildDistributedWorld(t *testing.T, edges, horizon int, opts ...func(*CloudConfig)) (*Cloud, []*NNRuntime) {
 	t.Helper()
 	spec := dataset.MNISTLike
 	// The cloud and all edges share the distribution D but sample it
@@ -49,7 +49,7 @@ func buildDistributedWorld(t *testing.T, edges, horizon int) (*Cloud, []*NNRunti
 	for i := range downloadCosts {
 		downloadCosts[i] = 0.5 + 0.2*float64(i)
 	}
-	cloud, err := NewCloud(CloudConfig{
+	cfg := CloudConfig{
 		Edges:         edges,
 		Horizon:       horizon,
 		DownloadCosts: downloadCosts,
@@ -58,7 +58,11 @@ func buildDistributedWorld(t *testing.T, edges, horizon int) (*Cloud, []*NNRunti
 		Prices:        prices,
 		EmissionScale: 1e-4,
 		Seed:          1,
-	}, source)
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	cloud, err := NewCloud(cfg, source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +194,7 @@ func TestCloudSlotTimeoutAbortsOnHungEdge(t *testing.T) {
 	// A cloud with a short slot timeout and an "edge" that completes the
 	// handshake but never answers an Assign must fail fast instead of
 	// hanging forever.
-	cloud, _ := buildDistributedWorld(t, 1, 5)
-	cloud.cfg.SlotTimeout = 200 * time.Millisecond
+	cloud, _ := buildDistributedWorld(t, 1, 5, func(c *CloudConfig) { c.SlotTimeout = 200 * time.Millisecond })
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -174,31 +174,13 @@ func (s *EdgeSession) handshake(conn net.Conn) error {
 // off internally; RunEdgeResumable itself never waits, so deterministic
 // harnesses stay in control of time.
 func RunEdgeResumable(dial func() (net.Conn, error), edgeID int, rt Runtime, maxResumes int) error {
-	if dial == nil {
-		return fmt.Errorf("deploy: nil dialer") //lint:allow errtaxonomy argument validation before any wire traffic
-	}
 	s, err := NewEdgeSession(edgeID, rt)
 	if err != nil {
 		return err
 	}
-	resumes := 0
-	var lastErr error
-	for {
-		conn, err := dial()
-		if err == nil {
-			var done bool
-			done, err = s.Run(conn)
-			conn.Close()
-			if done {
-				return err
-			}
-		}
-		lastErr = err
-		if resumes >= maxResumes {
-			return fmt.Errorf("deploy: edge %d: resume budget exhausted after %d resumes: %w", edgeID, resumes, lastErr)
-		}
-		resumes++
-	}
+	return redial(dial, maxResumes, fmt.Sprintf("edge %d", edgeID), func(conn net.Conn) (bool, error) {
+		return s.Run(conn)
+	})
 }
 
 // slotChunk bounds how many of a slot's M_i^t samples go through one

@@ -74,6 +74,13 @@ const (
 // maxFrame bounds a single frame (weights of a large checkpoint dominate).
 const maxFrame = 1 << 30
 
+// frameChunk caps what ReadMessage allocates before a frame's body has
+// arrived: a header may announce up to maxFrame, but the body buffer grows
+// only as bytes are read, so a peer that lies about a length (before it is
+// even authenticated) cannot make the reader allocate it. Every frame up to
+// frameChunk is still read into a single allocation.
+const frameChunk = 4 << 20
+
 // Message is the single wire envelope; unused fields stay zero.
 type Message struct {
 	Type MsgType `json:"type"`
@@ -180,9 +187,15 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if n > maxFrame {
 		return nil, protocolErrorf("frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("deploy: read body: %w", err)
+	body := make([]byte, min(n, frameChunk))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, body[read:]); err != nil {
+			return nil, fmt.Errorf("deploy: read body: %w", err)
+		}
+		if read = len(body); read == int(n) {
+			break
+		}
+		body = append(body, make([]byte, min(int(n)-read, read))...)
 	}
 	var m Message
 	if err := json.Unmarshal(body, &m); err != nil {
@@ -191,7 +204,21 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if m.Type < MsgHello || m.Type > MsgShardAdopt {
 		return nil, protocolErrorf("unknown message type %d", m.Type)
 	}
+	// omitempty never writes an empty slice, so a list spelled "[]" decodes
+	// to nil, as an absent one does: a message then re-encodes to itself, and
+	// no validator can tell the two spellings apart.
+	m.Models, m.Weights, m.Arms, m.Downloads = nilIfEmpty(m.Models), nilIfEmpty(m.Weights), nilIfEmpty(m.Arms), nilIfEmpty(m.Downloads)
+	if c := m.Checkpoint; c != nil {
+		c.Down, c.DownErrors, c.JitterDraws = nilIfEmpty(c.Down), nilIfEmpty(c.DownErrors), nilIfEmpty(c.JitterDraws)
+	}
 	return &m, nil
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // ValidateReport defensively checks a MsgReport before its numbers reach

@@ -9,29 +9,34 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/numeric"
 )
 
+// roundTripMessages are the edge-tier frames TestMessageRoundTrip sends
+// through the codec; FuzzReadMessage seeds its corpus with them.
+var roundTripMessages = []struct {
+	name string
+	msg  Message
+}{
+	{"hello", Message{Type: MsgHello, EdgeID: 3}},
+	{"welcome", Message{Type: MsgWelcome, NumModels: 2, Models: []ModelMeta{
+		{Name: "a", PhiKWh: 7e-8, SizeBytes: 100},
+		{Name: "b", PhiKWh: 9e-8, SizeBytes: 200},
+	}}},
+	{"assign with weights", Message{Type: MsgAssign, Slot: 5, ModelID: 1, Switch: true, Weights: []byte{1, 2, 3}}},
+	{"report", Message{Type: MsgReport, Slot: 5, EdgeID: 2, AvgLoss: 0.4, Correct: 30, Samples: 50, EnergyKWh: 1e-6, CompSeconds: 0.05}},
+	{"done", Message{Type: MsgDone}},
+	{"error", Message{Type: MsgError, Reason: "boom"}},
+}
+
 func TestMessageRoundTrip(t *testing.T) {
-	tests := []struct {
-		name string
-		msg  Message
-	}{
-		{"hello", Message{Type: MsgHello, EdgeID: 3}},
-		{"welcome", Message{Type: MsgWelcome, NumModels: 2, Models: []ModelMeta{
-			{Name: "a", PhiKWh: 7e-8, SizeBytes: 100},
-			{Name: "b", PhiKWh: 9e-8, SizeBytes: 200},
-		}}},
-		{"assign with weights", Message{Type: MsgAssign, Slot: 5, ModelID: 1, Switch: true, Weights: []byte{1, 2, 3}}},
-		{"report", Message{Type: MsgReport, Slot: 5, EdgeID: 2, AvgLoss: 0.4, Correct: 30, Samples: 50, EnergyKWh: 1e-6, CompSeconds: 0.05}},
-		{"done", Message{Type: MsgDone}},
-		{"error", Message{Type: MsgError, Reason: "boom"}},
-	}
-	for _, tt := range tests {
+	for _, tt := range roundTripMessages {
 		t.Run(tt.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := WriteMessage(&buf, &tt.msg); err != nil {
@@ -257,4 +262,100 @@ func TestBackoffDelayDeterministicAndCapped(t *testing.T) {
 	if last := first[len(first)-1]; last < cfg.MaxDelay/2 {
 		t.Errorf("saturated delay %v below half the cap", last)
 	}
+}
+
+// TestReadMessageBoundsAllocation pins that a frame header alone cannot make
+// the reader allocate what it announces: a 256 MiB length followed by EOF
+// is a transient truncation that costs a bounded buffer, not 256 MiB.
+func TestReadMessageBoundsAllocation(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 256<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil || !Transient(err) {
+		t.Errorf("truncated 256 MiB frame: err = %v, want transient", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+		t.Errorf("reading a bare 256 MiB header allocated %d bytes, want < 8 MiB", d)
+	}
+	// A body longer than one chunk still arrives whole.
+	big := &Message{Type: MsgAssign, Slot: 1, Switch: true, Weights: bytes.Repeat([]byte{7}, 2*frameChunk)}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadMessage(&buf)
+	if err != nil || !bytes.Equal(got.Weights, big.Weights) {
+		t.Errorf("multi-chunk frame: err = %v, weights intact = %v", err, err == nil && bytes.Equal(got.Weights, big.Weights))
+	}
+}
+
+// FuzzReadMessage feeds arbitrary bytes to the frame decoder. No input may
+// panic; every failure must fall inside the error taxonomy (a fatal
+// *ProtocolError or a Transient I/O error); a decoded message must survive
+// re-encoding unchanged; and the wire validators must not panic on it.
+func FuzzReadMessage(f *testing.F) {
+	frame := func(n uint32, body string) []byte {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], n)
+		return append(hdr[:], body...)
+	}
+	// The frames the protocol tests above build, valid and broken.
+	msgs := []Message{
+		{Type: MsgHello, EdgeID: 2, Resume: true, ResumeToken: "tok-2", DoneSlots: 17},
+		{Type: MsgShardAssign, Slot: 3, Start: 4, Count: 2, Arms: []int{0, 1}, Downloads: []bool{true, false}},
+		{Type: MsgShardDelta, Slot: 3, Delta: &engine.SlotDelta{Start: 4, Edges: []engine.EdgeDelta{
+			{Loss: 0.5, InferLoss: 0.4, Compute: 0.1, Correct: 3, Samples: 5, InferKWh: 1e-6, Served: true},
+			{WentDown: true, DownError: "edge down", Retries: 2},
+		}}},
+		{Type: MsgShardAdopt, Slot: 6, Checkpoint: &engine.ShardCheckpoint{
+			Start: 4, Count: 2, DoneSlots: 6, FleetSeed: 9,
+			Down: []bool{false, true}, DownErrors: []string{"", "edge down"}, JitterDraws: []int{0, 3},
+		}},
+	}
+	for _, tt := range roundTripMessages {
+		msgs = append(msgs, tt.msg)
+	}
+	for i := range msgs {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, &msgs[i]); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("ab"))
+	f.Add(frame(maxFrame+1, ""))
+	f.Add(frame(100, "{}"))
+	f.Add(frame(3, "{{{"))
+	f.Add(frame(11, `{"type":99}`))
+	// Empty lists decode as absent ones, so re-encoding cannot change them.
+	emptyLists := `{"type":12,"arms":[],"checkpoint":{"down":[]}}`
+	f.Add(frame(uint32(len(emptyLists)), emptyLists))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadMessage(bytes.NewReader(data))
+		if err != nil {
+			var pe *ProtocolError
+			if !errors.As(err, &pe) && !Transient(err) {
+				t.Fatalf("error outside the taxonomy: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := ReadMessage(&buf)
+		if err != nil {
+			t.Fatalf("decode of re-encoded message: %v", err)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("re-encoding changed the message:\n first: %+v\n again: %+v", m, again)
+		}
+		_ = ValidateReport(m)
+		_ = ValidateDelta(m, m.Start, m.Count, m.Slot)
+		_ = ValidateAdopt(m)
+	})
 }

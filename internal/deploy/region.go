@@ -27,11 +27,9 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/carbonedge/carbonedge/internal/core"
-	"github.com/carbonedge/carbonedge/internal/energy"
 	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/market"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -109,6 +107,7 @@ type RootConfig struct {
 // multiplexed over a membership of region links that can shrink and grow
 // mid-run.
 type Root struct {
+	*acceptor
 	cfg    RootConfig
 	ctrl   *core.Controller
 	ranges []engine.Range
@@ -120,70 +119,35 @@ type Root struct {
 	// mu guards links and tokenRNG: admission mutates membership
 	// concurrently with stepper-side elections.
 	mu       sync.Mutex
-	links    map[int]*regionLink
+	links    map[int]*link
 	tokenRNG *rand.Rand
-
-	// initial and acceptErr carry initial-admission progress from the
-	// acceptor to awaitRegions.
-	initial   chan int
-	acceptErr chan error
-
-	// done flips once the run is over: the acceptor stops admitting.
-	done atomic.Bool
 }
 
 // NewRoot validates the configuration and builds the controller.
 func NewRoot(cfg RootConfig) (*Root, error) {
-	if cfg.Edges <= 0 {
-		return nil, fmt.Errorf("deploy: need at least one edge, got %d", cfg.Edges)
-	}
-	if cfg.Regions <= 0 || cfg.Regions > cfg.Edges {
+	switch {
+	case cfg.Edges > 0 && (cfg.Regions <= 0 || cfg.Regions > cfg.Edges):
 		return nil, fmt.Errorf("deploy: %d regions for %d edges", cfg.Regions, cfg.Edges)
-	}
-	if len(cfg.DownloadCosts) != cfg.Edges {
-		return nil, fmt.Errorf("deploy: %d download costs for %d edges", len(cfg.DownloadCosts), cfg.Edges)
-	}
-	if cfg.Prices == nil || cfg.Prices.Horizon() < cfg.Horizon {
-		return nil, fmt.Errorf("deploy: price series shorter than horizon")
-	}
-	if cfg.NumModels <= 0 {
+	case cfg.NumModels <= 0:
 		return nil, fmt.Errorf("deploy: NumModels must be positive, got %d", cfg.NumModels)
-	}
-	if cfg.Policy != engine.FailFast && cfg.Policy != engine.Degrade {
-		return nil, fmt.Errorf("deploy: unknown error policy %d", cfg.Policy)
-	}
-	if cfg.Retry.Attempts < 0 {
-		return nil, fmt.Errorf("deploy: negative retry budget %d", cfg.Retry.Attempts)
-	}
-	if cfg.Retry.BaseDelay < 0 || cfg.Retry.MaxDelay < 0 || cfg.Retry.ResumeWait < 0 {
-		return nil, fmt.Errorf("deploy: negative retry delays")
-	}
-	if cfg.RegionQuorum < 0 {
+	case cfg.RegionQuorum < 0:
 		return nil, fmt.Errorf("deploy: negative region quorum %d", cfg.RegionQuorum)
 	}
-	ctrl, err := core.New(core.Config{
-		NumModels:     cfg.NumModels,
-		DownloadCosts: cfg.DownloadCosts,
-		Horizon:       cfg.Horizon,
-		InitialCap:    cfg.InitialCap,
-		EmissionScale: cfg.EmissionScale,
-		PriceScale:    avgBuyPrice(cfg.Prices, cfg.Horizon),
-		Seed:          cfg.Seed,
-	})
+	ctrl, err := newController(CloudConfig{
+		Edges: cfg.Edges, Horizon: cfg.Horizon, DownloadCosts: cfg.DownloadCosts,
+		InitialCap: cfg.InitialCap, EmissionRate: cfg.EmissionRate, Prices: cfg.Prices,
+		EmissionScale: cfg.EmissionScale, Seed: cfg.Seed, Retry: cfg.Retry, Policy: cfg.Policy,
+	}, cfg.NumModels)
 	if err != nil {
-		return nil, fmt.Errorf("deploy: controller: %w", err)
-	}
-	if _, err := energy.NewMeter(cfg.EmissionRate); err != nil {
 		return nil, err
 	}
 	r := &Root{
-		cfg:       cfg,
-		ctrl:      ctrl,
-		ranges:    engine.PartitionEdges(cfg.Edges, cfg.Regions),
-		tokenRNG:  numeric.SplitRNG(cfg.Seed, "deploy-region-token"),
-		links:     make(map[int]*regionLink, cfg.Regions),
-		initial:   make(chan int, cfg.Regions+1),
-		acceptErr: make(chan error, 1),
+		acceptor: newAcceptor(cfg.HandshakeTimeout, cfg.Horizon, cfg.Regions),
+		cfg:      cfg,
+		ctrl:     ctrl,
+		ranges:   engine.PartitionEdges(cfg.Edges, cfg.Regions),
+		tokenRNG: numeric.SplitRNG(cfg.Seed, "deploy-region-token"),
+		links:    make(map[int]*link, cfg.Regions),
 	}
 	//lint:allow nodeterm retry backoff is real wall-clock waiting; chaos tests inject a zero-time sleep
 	r.sleep = time.Sleep
@@ -191,9 +155,17 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	// token stream is deterministic; spares joining mid-run draw later
 	// positions in arrival order (tokens never reach Results).
 	for id := 0; id < cfg.Regions; id++ {
-		r.links[id] = newRegionLink(id, fmt.Sprintf("%016x-%02d", r.tokenRNG.Uint64(), id))
+		r.addLink(id)
 	}
 	return r, nil
+}
+
+// addLink creates region link id with the token stream's next token. Called
+// with mu held (or before the run starts).
+func (r *Root) addLink(id int) *link {
+	l := newLink("region", id, fmt.Sprintf("%016x-%02d", r.tokenRNG.Uint64(), id), false)
+	r.links[id] = l
+	return l
 }
 
 // Serve runs a full regional deployment over ln: it admits the cfg.Regions
@@ -204,21 +176,11 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 // it is not closed (the caller owns it), but Serve unblocks its own acceptor
 // on return when the listener supports deadlines (as TCP listeners do).
 func (r *Root) Serve(ln net.Listener) (*Summary, error) {
-	go r.acceptLoop(ln)
-	defer func() {
-		r.done.Store(true)
-		// Unblock a blocked Accept without closing the caller's listener: a
-		// deadline in the distant past forces an immediate timeout.
-		if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-			d.SetDeadline(time.Unix(1, 0)) //nolint:errcheck // best-effort unblock
-		}
-		for _, l := range r.sortedLinks() {
-			l.retire()
-		}
-	}()
-	if err := r.awaitRegions(); err != nil {
+	stop, err := r.serve(ln, r)
+	if err != nil {
 		return nil, err
 	}
+	defer stop()
 
 	steppers := make([]*regionStepper, len(r.ranges))
 	shards := make([]engine.ShardStepper, len(r.ranges))
@@ -227,11 +189,13 @@ func (r *Root) Serve(ln net.Listener) (*Summary, error) {
 		l := r.links[k]
 		r.mu.Unlock()
 		steppers[k] = &regionStepper{
-			root:      r,
-			index:     k,
-			rng:       rg,
-			link:      l,
-			fleetSeed: l.fleetSeed(),
+			root:  r,
+			index: k,
+			rng:   rg,
+			link:  l,
+			// Admission claimed l (recording its seed) before serve counted
+			// it, and the seed never changes after the claim.
+			fleetSeed: l.seed,
 			jitter:    numeric.SplitRNG(r.cfg.Seed, fmt.Sprintf("deploy-region-retry-%d", k)),
 			down:      make([]bool, rg.Count),
 			downErrs:  make([]string, rg.Count),
@@ -251,28 +215,11 @@ func (r *Root) Serve(ln net.Listener) (*Summary, error) {
 		Policy:       r.cfg.Policy,
 	}, r.ctrl, shards)
 	if err != nil {
-		msg := &Message{Type: MsgError, Reason: err.Error()}
-		for _, l := range r.sortedLinks() {
-			if conn := l.current(); conn != nil {
-				_ = WriteMessage(conn, msg) // best effort; we are already failing
-			}
-		}
+		_ = broadcast(r.members(), &Message{Type: MsgError, Reason: err.Error()}) // best effort; we are already failing
 		return nil, err
 	}
-	var finishErrs []error
-	for _, l := range r.sortedLinks() {
-		if l.isDead() {
-			continue // departed mid-run; nobody to notify
-		}
-		conn := l.current()
-		if conn == nil {
-			continue
-		}
-		if werr := WriteMessage(conn, &Message{Type: MsgDone}); werr != nil {
-			finishErrs = append(finishErrs, fmt.Errorf("deploy: send done to region %d: %w", l.id, werr))
-		}
-	}
-	if err := errors.Join(finishErrs...); err != nil && r.cfg.Policy == engine.FailFast {
+	// Departed links are retired by now, so they hold no connection.
+	if err := broadcast(r.members(), &Message{Type: MsgDone}); err != nil && r.cfg.Policy == engine.FailFast {
 		return nil, err
 	}
 	// Edge resumes are region-local; the root does not observe them.
@@ -281,35 +228,9 @@ func (r *Root) Serve(ln net.Listener) (*Summary, error) {
 	return sum, nil
 }
 
-// awaitRegions blocks until the cfg.Regions initial coordinators are
-// admitted.
-func (r *Root) awaitRegions() error {
-	connected := 0
-	for connected < len(r.ranges) {
-		select {
-		case <-r.initial:
-			connected++
-		case err := <-r.acceptErr:
-			for {
-				select {
-				case <-r.initial:
-					connected++
-					continue
-				default:
-				}
-				break
-			}
-			if connected < len(r.ranges) {
-				return fmt.Errorf("deploy: accept: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// sortedLinks snapshots the membership in ascending id order, so every
+// members implements tier: the membership in ascending id order, so every
 // iteration over the link map is deterministic.
-func (r *Root) sortedLinks() []*regionLink {
+func (r *Root) members() []*link {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ids := make([]int, 0, len(r.links))
@@ -317,7 +238,7 @@ func (r *Root) sortedLinks() []*regionLink {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	out := make([]*regionLink, len(ids))
+	out := make([]*link, len(ids))
 	for k, id := range ids {
 		out[k] = r.links[id]
 	}
@@ -329,7 +250,7 @@ func (r *Root) sortedLinks() []*regionLink {
 // summaries compare deep-equal to monolithic ones.
 func (r *Root) fillElasticity(sum *Summary, steppers []*regionStepper) {
 	resumes := make(map[int]int)
-	for _, l := range r.sortedLinks() {
+	for _, l := range r.members() {
 		if n := l.resumeCount(); n > 0 {
 			resumes[l.id] = n
 		}
@@ -354,144 +275,50 @@ func (r *Root) fillElasticity(sum *Summary, steppers []*regionStepper) {
 	}
 }
 
-// acceptLoop admits coordinator connections for the whole run: initial
-// handshakes first, session resumes and standby joins once the run is
-// underway. Admissions run concurrently so one slow (or silent) dialer
-// cannot wedge the tier.
-func (r *Root) acceptLoop(ln net.Listener) {
-	var wg sync.WaitGroup
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			wg.Wait() // let in-flight admissions finish before reporting
-			if !r.done.Load() {
-				select {
-				case r.acceptErr <- err:
-				default:
-				}
-			}
-			return
-		}
-		if r.done.Load() {
-			conn.Close()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.admitRegion(conn)
-		}()
+// hello implements tier. A first Hello from an unknown id is a standby
+// coordinator joining mid-run: it gets an empty shard and serves only what
+// rebalancing adopts into it.
+func (r *Root) hello(m *Message) (*link, string) {
+	switch {
+	case m.Type != MsgRegionHello:
+		return nil, "expected RegionHello"
+	case m.RegionID < 0:
+		return nil, fmt.Sprintf("bad region id %d", m.RegionID)
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l := r.links[m.RegionID]
+	switch {
+	case l == nil && m.Resume:
+		return nil, fmt.Sprintf("unknown region id %d", m.RegionID)
+	case l == nil:
+		l = r.addLink(m.RegionID)
+	}
+	return l, ""
 }
 
-// admitRegion performs one coordinator's handshake under the handshake
-// deadline and delivers the connection to its region link. Bad dialers are
-// rejected and closed without disturbing the run.
-func (r *Root) admitRegion(conn net.Conn) {
-	ok := false
-	defer func() {
-		if !ok {
-			conn.Close()
-		}
-	}()
-	timeout := r.cfg.HandshakeTimeout
-	if timeout == 0 {
-		timeout = DefaultHandshakeTimeout
-	}
-	if timeout > 0 {
-		//lint:allow nodeterm real I/O deadline on a live connection; wall time is the only clock the kernel honors
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return
-		}
-	}
-	m, err := ReadMessage(conn)
-	if err != nil {
-		return
-	}
-	if m.Type != MsgRegionHello {
-		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: "expected RegionHello"})
-		return
-	}
-	if m.RegionID < 0 {
-		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: fmt.Sprintf("bad region id %d", m.RegionID)})
-		return
-	}
-
+// welcome implements tier. The resume Welcome carries no shard geometry.
+func (r *Root) welcome(m *Message, l *link) (*Message, bool) {
+	w := &Message{Type: MsgRegionWelcome, RegionID: m.RegionID, Resume: m.Resume}
 	if m.Resume {
-		r.mu.Lock()
-		l := r.links[m.RegionID]
-		r.mu.Unlock()
-		if l == nil {
-			_ = WriteMessage(conn, &Message{Type: MsgError, Reason: fmt.Sprintf("unknown region id %d", m.RegionID)})
-			return
-		}
-		reject := l.resumeReject(m.ResumeToken)
-		if reject == "" && (m.DoneSlots < 0 || m.DoneSlots > r.cfg.Horizon) {
-			reject = fmt.Sprintf("implausible resume position %d", m.DoneSlots)
-		}
-		if reject != "" {
-			_ = WriteMessage(conn, &Message{Type: MsgError, Reason: reject})
-			return
-		}
-		if err := WriteMessage(conn, &Message{Type: MsgRegionWelcome, RegionID: m.RegionID, Resume: true}); err != nil {
-			return
-		}
-		if timeout > 0 {
-			conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-		}
-		l.markResumed()
-		l.deliver(conn)
-		ok = true
-		return
+		return w, false
 	}
-
-	r.mu.Lock()
-	l := r.links[m.RegionID]
-	if l == nil {
-		// A standby coordinator joining mid-run: it gets an empty shard and
-		// serves only what rebalancing adopts into it.
-		l = newRegionLink(m.RegionID, fmt.Sprintf("%016x-%02d", r.tokenRNG.Uint64(), m.RegionID))
-		r.links[m.RegionID] = l
+	w.Horizon, w.NumModels, w.Degrade, w.ResumeToken = r.cfg.Horizon, r.cfg.NumModels, r.cfg.Policy == engine.Degrade, l.token
+	initial := m.RegionID < len(r.ranges)
+	if initial {
+		w.Start, w.Count = r.ranges[m.RegionID].Start, r.ranges[m.RegionID].Count
 	}
-	r.mu.Unlock()
-	if !l.claim(m.Seed) {
-		_ = WriteMessage(conn, &Message{Type: MsgError, Reason: fmt.Sprintf("duplicate region id %d", m.RegionID)})
-		return
-	}
-	welcome := &Message{
-		Type:        MsgRegionWelcome,
-		RegionID:    m.RegionID,
-		Horizon:     r.cfg.Horizon,
-		NumModels:   r.cfg.NumModels,
-		Degrade:     r.cfg.Policy == engine.Degrade,
-		ResumeToken: l.token,
-	}
-	if m.RegionID < len(r.ranges) {
-		rg := r.ranges[m.RegionID]
-		welcome.Start, welcome.Count = rg.Start, rg.Count
-	}
-	if err := WriteMessage(conn, welcome); err != nil {
-		l.unclaim()
-		return
-	}
-	if timeout > 0 {
-		conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-	l.deliver(conn)
-	if m.RegionID < len(r.ranges) {
-		r.initial <- m.RegionID
-	}
-	ok = true
+	return w, initial
 }
 
 // electTarget picks the adopter for an orphaned shard: the lowest live link
 // id (or RebalanceTarget's validated choice), or nil when the live
 // membership is below the region quorum — the caller then degrades the
 // shard instead of rebalancing it.
-func (r *Root) electTarget(shard int) *regionLink {
-	links := r.sortedLinks()
+func (r *Root) electTarget(shard int) *link {
+	links := r.members()
 	live := make([]int, 0, len(links))
-	byID := make(map[int]*regionLink, len(links))
+	byID := make(map[int]*link, len(links))
 	for _, l := range links {
 		if l.isLive() {
 			live = append(live, l.id)
@@ -515,205 +342,6 @@ func (r *Root) electTarget(shard int) *regionLink {
 	return byID[pick]
 }
 
-// regionLink is the root-side connection slot of one coordinator: the
-// acceptor delivers handshaken connections (initial and resumed) into
-// incoming, and the shards routed over the link consume them. A dropped
-// coordinator leaves its link empty until a resume arrives; a departed one
-// is marked dead and its shards move elsewhere.
-type regionLink struct {
-	id       int
-	token    string
-	incoming chan net.Conn
-
-	// xmu serializes assign/delta round trips on the link: after an
-	// adoption, several shards may share one coordinator, and each exchange
-	// must own the connection for its full write+read.
-	xmu sync.Mutex
-
-	mu      sync.Mutex
-	conn    net.Conn
-	claimed bool
-	dead    bool
-	seed    int64
-	resumes int
-}
-
-func newRegionLink(id int, token string) *regionLink {
-	return &regionLink{id: id, token: token, incoming: make(chan net.Conn, 1)}
-}
-
-// deliver hands a fresh connection to the link, replacing any stale one that
-// was never consumed (latest connection wins).
-func (l *regionLink) deliver(conn net.Conn) {
-	for {
-		select {
-		case l.incoming <- conn:
-			return
-		default:
-			select {
-			case stale := <-l.incoming:
-				stale.Close()
-			default:
-			}
-		}
-	}
-}
-
-// claim marks the link's initial admission and records the coordinator's
-// announced fleet seed (what a future ShardCheckpoint derives the shard's
-// edge tokens from). It reports false when the link was already claimed.
-func (l *regionLink) claim(seed int64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.claimed {
-		return false
-	}
-	l.claimed = true
-	l.seed = seed
-	return true
-}
-
-// unclaim rolls a failed admission back.
-func (l *regionLink) unclaim() {
-	l.mu.Lock()
-	l.claimed = false
-	l.mu.Unlock()
-}
-
-// resumeReject validates a resume attempt, returning the rejection reason
-// ("" to accept).
-func (l *regionLink) resumeReject(token string) string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case !l.claimed:
-		return fmt.Sprintf("region id %d never joined", l.id)
-	case l.dead:
-		return fmt.Sprintf("region id %d retired", l.id)
-	case token != l.token:
-		return "bad resume token"
-	}
-	return ""
-}
-
-func (l *regionLink) markResumed() {
-	l.mu.Lock()
-	l.resumes++
-	l.mu.Unlock()
-}
-
-func (l *regionLink) resumeCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.resumes
-}
-
-func (l *regionLink) fleetSeed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seed
-}
-
-// acquire returns the link's live connection: the current one while it
-// lasts, otherwise the next delivered resume, waiting up to wait for the
-// coordinator to redial. The current connection is deliberately used until
-// an exchange fails on it (exactly the edge fleet's discipline) — switching
-// to a fresher delivery eagerly would make the retry accounting depend on
-// how quickly the coordinator redialed. Called with xmu held.
-func (l *regionLink) acquire(wait time.Duration) net.Conn {
-	if conn := l.current(); conn != nil {
-		return conn
-	}
-	select {
-	case conn := <-l.incoming:
-		l.replace(conn)
-		return l.current()
-	default:
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case conn := <-l.incoming:
-		l.replace(conn)
-		return l.current()
-	case <-t.C:
-		return nil
-	}
-}
-
-func (l *regionLink) replace(conn net.Conn) {
-	l.mu.Lock()
-	if l.dead {
-		l.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if l.conn != nil {
-		l.conn.Close()
-	}
-	l.conn = conn
-	l.mu.Unlock()
-}
-
-func (l *regionLink) current() net.Conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn
-}
-
-// drop discards a connection whose exchange failed; the next acquire waits
-// for a resumed one.
-func (l *regionLink) drop() {
-	l.mu.Lock()
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.mu.Unlock()
-}
-
-// markDead takes the link out of the rebalancing election without closing
-// its connection: a departing coordinator releases its edges only once the
-// root closes the link (see retire), so the edges cannot redial the adopter
-// before the adopt frame installs their range.
-func (l *regionLink) markDead() {
-	l.mu.Lock()
-	l.dead = true
-	l.mu.Unlock()
-}
-
-// retire marks the link dead and closes everything it holds. Safe to call
-// repeatedly.
-func (l *regionLink) retire() {
-	l.mu.Lock()
-	l.dead = true
-	if l.conn != nil {
-		l.conn.Close()
-		l.conn = nil
-	}
-	l.mu.Unlock()
-	for {
-		select {
-		case c := <-l.incoming:
-			c.Close()
-		default:
-			return
-		}
-	}
-}
-
-func (l *regionLink) isDead() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dead
-}
-
-func (l *regionLink) isLive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.claimed && !l.dead
-}
-
 // regionStepper is the root-side engine.ShardStepper of one shard: Step is
 // one ShardAssign/ShardDelta round trip on the shard's current region link,
 // with transient failures retried across session resumes, lost links
@@ -725,7 +353,7 @@ type regionStepper struct {
 	rng       engine.Range
 	fleetSeed int64
 	jitter    *rand.Rand // deterministic backoff jitter stream
-	link      *regionLink
+	link      *link
 
 	// dedup is the shard's fold watermark: a resumed link's replayed deltas
 	// are admitted at most once per slot.
@@ -804,60 +432,25 @@ func (rs *regionStepper) Step(slot int, arms []int, downloads []bool) (engine.Sl
 // the link itself is gone (departure, or budget exhausted) — the caller
 // rebalances or degrades; a false lost with a non-nil error is fatal.
 func (rs *regionStepper) attemptSlot(slot int, arms []int, downloads []bool) (d engine.SlotDelta, lost bool, err error) {
-	retry := rs.root.cfg.Retry.withDefaults()
-	attempts := 0
-	var lastErr error
-	for {
-		d, err := rs.exchange(slot, arms, downloads, retry.ResumeWait)
-		if err == nil {
-			return d, false, nil
-		}
-		if errors.Is(err, errRegionLeft) {
-			return engine.SlotDelta{}, true, err
-		}
-		if !Transient(err) {
-			return engine.SlotDelta{}, false, err
-		}
-		lastErr = err
-		if attempts >= rs.root.cfg.Retry.Attempts {
-			return engine.SlotDelta{}, true,
-				fmt.Errorf("deploy: shard %d region link %d slot %d: retry budget exhausted after %d retries: %w",
-					rs.index, rs.link.id, slot, attempts, lastErr)
-		}
-		attempts++
-		rs.retries++
-		rs.root.sleep(backoffDelay(retry, attempts, rs.jitter))
-	}
-}
-
-// exchange runs one assign/delta round trip on the shard's link, owning the
-// link for the duration (shards sharing a link after an adoption serialize
-// here).
-func (rs *regionStepper) exchange(slot int, arms []int, downloads []bool, wait time.Duration) (engine.SlotDelta, error) {
 	l := rs.link
-	l.xmu.Lock()
-	defer l.xmu.Unlock()
-	if l.isDead() {
-		// A sibling shard already saw the departure; don't burn budget
-		// re-discovering it.
-		return engine.SlotDelta{}, fmt.Errorf("deploy: region link %d: %w", l.id, errRegionLeft)
+	retries, err := l.attempt(rs.root.cfg.Retry, rs.jitter, rs.root.sleep, func(conn net.Conn) (err error) {
+		d, err = rs.exchange(conn, slot, arms, downloads)
+		return err
+	})
+	rs.retries += retries
+	switch {
+	case err == nil:
+		return d, false, nil
+	case Transient(err):
+		return engine.SlotDelta{}, true,
+			fmt.Errorf("deploy: shard %d region link %d slot %d: retry budget exhausted after %d retries: %w",
+				rs.index, l.id, slot, retries, err)
 	}
-	conn := l.acquire(wait)
-	if conn == nil {
-		return engine.SlotDelta{}, Transientf("region link %d: no live connection within %v", l.id, wait)
-	}
-	d, err := rs.exchangeOn(conn, slot, arms, downloads)
-	if err != nil && !errors.Is(err, errRegionLeft) {
-		// Keep a departed link's connection open: closing it (retire, once the
-		// shard has a new home) is what releases the coordinator's edges, so
-		// they never redial the adopter before the adopt frame installs them.
-		l.drop()
-	}
-	return d, err
+	return engine.SlotDelta{}, errors.Is(err, errRegionLeft), err
 }
 
-// exchangeOn runs the round trip on one connection.
-func (rs *regionStepper) exchangeOn(conn net.Conn, slot int, arms []int, downloads []bool) (engine.SlotDelta, error) {
+// exchange runs one assign/delta round trip on conn.
+func (rs *regionStepper) exchange(conn net.Conn, slot int, arms []int, downloads []bool) (engine.SlotDelta, error) {
 	if t := rs.root.cfg.SlotTimeout; t > 0 {
 		//lint:allow nodeterm real I/O deadline on a live TCP connection; wall time is the only clock the kernel honors
 		if err := conn.SetDeadline(time.Now().Add(t)); err != nil {
@@ -908,23 +501,13 @@ func (rs *regionStepper) exchangeOn(conn net.Conn, slot int, arms []int, downloa
 // adoptInto hands the shard to target: one ShardAdopt frame carrying the
 // checkpoint. No ack is read — the connection's ordering guarantees the
 // adopt frame is processed before the shard's next assign on the same link.
-func (rs *regionStepper) adoptInto(target *regionLink, slot int) error {
-	target.xmu.Lock()
-	defer target.xmu.Unlock()
-	if target.isDead() {
-		return fmt.Errorf("deploy: region link %d: %w", target.id, errRegionLeft)
-	}
-	wait := rs.root.cfg.Retry.withDefaults().ResumeWait
-	conn := target.acquire(wait)
-	if conn == nil {
-		return Transientf("region link %d: no live connection within %v", target.id, wait)
-	}
-	msg := &Message{Type: MsgShardAdopt, Slot: slot, Checkpoint: rs.checkpoint()}
-	if err := WriteMessage(conn, msg); err != nil {
-		target.drop()
-		return fmt.Errorf("deploy: shard %d adopt into region link %d: %w", rs.index, target.id, err)
-	}
-	return nil
+func (rs *regionStepper) adoptInto(target *link, slot int) error {
+	return target.try(rs.root.cfg.Retry.withDefaults().ResumeWait, func(conn net.Conn) error {
+		if err := WriteMessage(conn, &Message{Type: MsgShardAdopt, Slot: slot, Checkpoint: rs.checkpoint()}); err != nil {
+			return fmt.Errorf("deploy: shard %d adopt into region link %d: %w", rs.index, target.id, err)
+		}
+		return nil
+	})
 }
 
 // checkpoint serializes the shard's root-tracked state for an adopter.
@@ -1023,8 +606,8 @@ func validateRegionConfig(cfg RegionConfig) error {
 	if cfg.RegionID < 0 {
 		return fmt.Errorf("deploy: negative region id %d", cfg.RegionID)
 	}
-	if cfg.Retry.Attempts < 0 {
-		return fmt.Errorf("deploy: negative retry budget %d", cfg.Retry.Attempts)
+	if err := cfg.Retry.validate(); err != nil {
+		return err
 	}
 	if cfg.LeaveBeforeSlot < 0 {
 		return fmt.Errorf("deploy: negative leave slot %d", cfg.LeaveBeforeSlot)
@@ -1037,7 +620,6 @@ func validateRegionConfig(cfg RegionConfig) error {
 type regionShard struct {
 	start, count int
 	shard        *engine.Shard
-	tcp          []*tcpStepper
 	done         int      // fold watermark: slots completed (cache holds done-1)
 	last         *Message // cached ShardDelta of slot done-1
 }
@@ -1056,7 +638,6 @@ type RegionSession struct {
 
 	welcomed  bool
 	token     string
-	horizon   int
 	numModels int
 	policy    engine.ErrorPolicy
 
@@ -1192,44 +773,38 @@ func (s *RegionSession) handshake(upstream net.Conn) error {
 	if w.Degrade {
 		s.policy = engine.Degrade
 	}
-	s.horizon = w.Horizon
 	s.numModels = w.NumModels
 	s.token = w.ResumeToken
 
 	// Count == 0 is a standby welcome: the fleet starts empty and gains its
 	// ranges only through mid-run shard adoption.
 	s.fleet = newEdgeFleet(fleetConfig{
-		count:   w.Count,
-		offset:  w.Start,
-		horizon: w.Horizon,
-		seed:    s.cfg.Seed,
-		timeouts: func() (time.Duration, time.Duration) {
-			return s.cfg.HandshakeTimeout, s.cfg.SlotTimeout
-		},
-		retry: s.cfg.Retry,
+		count:     w.Count,
+		offset:    w.Start,
+		horizon:   w.Horizon,
+		seed:      s.cfg.Seed,
+		handshake: s.cfg.HandshakeTimeout,
+		slot:      s.cfg.SlotTimeout,
+		retry:     s.cfg.Retry,
 	}, s.cfg.Source)
-	s.stop = s.fleet.start(s.ln)
-	if err := s.fleet.awaitInitial(); err != nil {
+	stop, err := s.fleet.serve(s.ln, s.fleet)
+	if err != nil {
 		return err
 	}
+	s.stop = stop
 	if w.Count > 0 {
-		tcp := s.fleet.steppers()
-		shard, err := s.buildShard(w.Start, tcp)
+		shard, err := s.buildShard(w.Start, s.fleet.steppers(s.fleet.ranges[0], nil))
 		if err != nil {
 			return err
 		}
-		s.shards = append(s.shards, &regionShard{start: w.Start, count: w.Count, shard: shard, tcp: tcp})
+		s.shards = append(s.shards, &regionShard{start: w.Start, count: w.Count, shard: shard})
 	}
 	s.welcomed = true
 	return nil
 }
 
 // buildShard wraps a range's steppers into an engine Shard.
-func (s *RegionSession) buildShard(start int, tcp []*tcpStepper) (*engine.Shard, error) {
-	steppers := make([]engine.EdgeStepper, len(tcp))
-	for i, st := range tcp {
-		steppers[i] = st
-	}
+func (s *RegionSession) buildShard(start int, steppers []engine.EdgeStepper) (*engine.Shard, error) {
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = len(steppers)
@@ -1264,14 +839,24 @@ func (s *RegionSession) minDone() int {
 // step the shard and stream the delta back.
 func (s *RegionSession) handleAssign(upstream net.Conn, m *Message) (assignOutcome, error) {
 	sh := s.shardAt(m.Start)
-	if sh == nil {
-		err := protocolErrorf("shard assign slot %d: unknown range start %d", m.Slot, m.Start)
-		_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: err.Error()})
-		return assignFatal, err
-	}
-	if len(m.Arms) != sh.count || len(m.Downloads) != sh.count {
-		err := protocolErrorf("shard assign slot %d: %d arms / %d downloads for %d edges",
+	var err error
+	switch {
+	case sh == nil:
+		err = protocolErrorf("shard assign slot %d: unknown range start %d", m.Slot, m.Start)
+	case len(m.Arms) != sh.count || len(m.Downloads) != sh.count:
+		err = protocolErrorf("shard assign slot %d: %d arms / %d downloads for %d edges",
 			m.Slot, len(m.Arms), len(m.Downloads), sh.count)
+	default:
+		// An out-of-range arm would reach the zoo's index check and panic
+		// inside the edge's stepper.
+		for j, arm := range m.Arms {
+			if arm < 0 || arm >= s.numModels {
+				err = protocolErrorf("shard assign slot %d: edge %d assigned model %d of %d", m.Slot, m.Start+j, arm, s.numModels)
+				break
+			}
+		}
+	}
+	if err != nil {
 		_ = WriteMessage(upstream, &Message{Type: MsgError, Reason: err.Error()})
 		return assignFatal, err
 	}
@@ -1319,11 +904,11 @@ func (s *RegionSession) handleAdopt(m *Message) error {
 		return err
 	}
 	ck := m.Checkpoint
-	tcp, err := s.fleet.adopt(ck)
+	steppers, err := s.fleet.adopt(ck)
 	if err != nil {
 		return err
 	}
-	shard, err := s.buildShard(ck.Start, tcp)
+	shard, err := s.buildShard(ck.Start, steppers)
 	if err != nil {
 		return err
 	}
@@ -1334,7 +919,6 @@ func (s *RegionSession) handleAdopt(m *Message) error {
 		start: ck.Start,
 		count: ck.Count,
 		shard: shard,
-		tcp:   tcp,
 		done:  ck.DoneSlots,
 	})
 	return nil
@@ -1347,34 +931,21 @@ func (s *RegionSession) release() {
 		s.stop()
 		s.stop = nil
 	}
-	if s.fleet == nil {
-		return
-	}
-	for _, sh := range s.shards {
-		s.fleet.closeAll(sh.tcp)
-	}
 }
 
 // finishAll notifies every still-connected edge that the run is over, then
 // releases the fleet.
 func (s *RegionSession) finishAll() error {
-	var errs []error
-	for _, sh := range s.shards {
-		if err := s.fleet.finish(sh.tcp); err != nil {
-			errs = append(errs, err)
-		}
-	}
+	err := broadcast(s.fleet.members(), &Message{Type: MsgDone})
 	s.release()
-	return errors.Join(errs...)
+	return err
 }
 
 // abortAll tells every still-connected edge the run failed, then releases
 // the fleet.
 func (s *RegionSession) abortAll(err error) {
 	if s.fleet != nil {
-		for _, sh := range s.shards {
-			_ = s.fleet.abort(sh.tcp, err)
-		}
+		_ = broadcast(s.fleet.members(), &Message{Type: MsgError, Reason: err.Error()})
 	}
 	s.release()
 }
@@ -1404,33 +975,16 @@ func RunRegion(upstream net.Conn, ln net.Listener, cfg RegionConfig) error {
 // dialer may sleep or back off internally; RunRegionResumable itself never
 // waits, so deterministic harnesses stay in control of time.
 func RunRegionResumable(dial func() (net.Conn, error), ln net.Listener, cfg RegionConfig, maxResumes int) error {
-	if dial == nil {
-		return fmt.Errorf("deploy: nil dialer") //lint:allow errtaxonomy argument validation before any wire traffic
-	}
 	s, err := NewRegionSession(ln, cfg)
 	if err != nil {
 		return err
 	}
-	resumes := 0
-	var lastErr error
-	for {
-		conn, err := dial()
-		if err == nil {
-			var done bool
-			done, err = s.Run(conn)
-			conn.Close()
-			if done {
-				return err
-			}
-		}
-		lastErr = err
-		if resumes >= maxResumes {
-			// Release (don't abort) the edges: the root may already have
-			// rebalanced this session's shards, and the edges can still
-			// migrate to the adopter.
-			s.release()
-			return fmt.Errorf("deploy: region %d: resume budget exhausted after %d resumes: %w", s.cfg.RegionID, resumes, lastErr)
-		}
-		resumes++
-	}
+	// Every ended session has released its edges already. One that ran out
+	// of resumes releases (doesn't abort) them: the root may already have
+	// rebalanced this session's shards, and the edges can still migrate to
+	// the adopter.
+	defer s.release()
+	return redial(dial, maxResumes, fmt.Sprintf("region %d", cfg.RegionID), func(conn net.Conn) (bool, error) {
+		return s.Run(conn)
+	})
 }

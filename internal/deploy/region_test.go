@@ -1,9 +1,11 @@
 package deploy
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -202,12 +204,59 @@ func TestRootValidation(t *testing.T) {
 		"bad policy":     func(c *RootConfig) { c.Policy = engine.ErrorPolicy(7) },
 		"bad rate":       func(c *RootConfig) { c.EmissionRate = -1 },
 		"short prices":   func(c *RootConfig) { c.Horizon = 99 },
+		"negative delay": func(c *RootConfig) { c.Retry.MaxDelay = -1 },
 	} {
 		cfg := base
 		mutate(&cfg)
 		if _, err := NewRoot(cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	// A coordinator's retry budget is checked exactly as the root's.
+	region := RegionConfig{Source: &paritySource{w: newParityWorld(1)}, Retry: RetryConfig{BaseDelay: -time.Millisecond}}
+	if _, err := NewRegionSession(nil, region); err == nil {
+		t.Error("region negative delay: expected error")
+	}
+}
+
+// TestRegionRejectsOutOfRangeArm pins the assign validation: an arm outside
+// the announced zoo is a protocol violation reported upstream, not a model
+// index that reaches the zoo and panics inside the edge's stepper.
+func TestRegionRejectsOutOfRangeArm(t *testing.T) {
+	w := newParityWorld(5)
+	for _, arm := range []int{len(w.metas), -1} {
+		rootSide, regionSide := net.Pipe()
+		edgeLn := newChanListener(1)
+		regionEdge, edge := net.Pipe()
+		edgeLn.conns <- regionEdge
+		go func() { _ = RunEdge(edge, 0, &parityRuntime{w: w, edge: 0, rng: w.edgeRNG(0)}) }()
+		done := make(chan error, 1)
+		go func() {
+			done <- RunRegion(regionSide, edgeLn, RegionConfig{RegionID: 0, Source: &paritySource{w: w}, Seed: 5})
+		}()
+		if m, err := ReadMessage(rootSide); err != nil || m.Type != MsgRegionHello {
+			t.Fatalf("hello: %v %v", m, err)
+		}
+		if err := WriteMessage(rootSide, &Message{
+			Type: MsgRegionWelcome, Start: 0, Count: 1, Horizon: 5, NumModels: len(w.metas), Degrade: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteMessage(rootSide, &Message{
+			Type: MsgShardAssign, Slot: 0, Start: 0, Count: 1, Arms: []int{arm}, Downloads: []bool{true},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := ReadMessage(rootSide)
+		if err != nil || reply.Type != MsgError || !strings.Contains(reply.Reason, "assigned model") {
+			t.Errorf("arm %d: reply = %+v (%v), want MsgError naming the bad model", arm, reply, err)
+		}
+		var pe *ProtocolError
+		if err := <-done; !errors.As(err, &pe) {
+			t.Errorf("arm %d: RunRegion = %v, want *ProtocolError", arm, err)
+		}
+		rootSide.Close()
+		edgeLn.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 )
@@ -31,6 +32,18 @@ const (
 	DefaultMaxDelay   = time.Second
 	DefaultResumeWait = time.Second
 )
+
+// validate rejects a negative budget or negative delays before any wire
+// traffic.
+func (r RetryConfig) validate() error {
+	if r.Attempts < 0 {
+		return fmt.Errorf("deploy: negative retry budget %d", r.Attempts)
+	}
+	if r.BaseDelay < 0 || r.MaxDelay < 0 || r.ResumeWait < 0 {
+		return fmt.Errorf("deploy: negative retry delays")
+	}
+	return nil
+}
 
 // withDefaults fills zero fields.
 func (r RetryConfig) withDefaults() RetryConfig {
