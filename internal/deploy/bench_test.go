@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/carbonedge/carbonedge/internal/dataset"
+	"github.com/carbonedge/carbonedge/internal/engine"
 	"github.com/carbonedge/carbonedge/internal/models"
 	"github.com/carbonedge/carbonedge/internal/nn"
 	"github.com/carbonedge/carbonedge/internal/numeric"
@@ -88,6 +89,46 @@ func BenchmarkNNRuntimeSlotInt8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFrameCodec round-trips the per-slot frames through WriteMessage
+// and ReadMessage on an in-memory buffer: framing cost alone, with no
+// transport. One op is one frame written and read back.
+func BenchmarkFrameCodec(b *testing.B) {
+	edges := make([]engine.EdgeDelta, 1000)
+	for i := range edges {
+		edges[i] = engine.EdgeDelta{
+			Loss: 0.4 + float64(i)/7e3, InferLoss: 0.3 + float64(i)/9e3, Compute: 0.1,
+			Correct: 30 + i%20, Samples: 50 + i%20, InferKWh: 1e-6 * float64(i+1), TransferKWh: 3e-7,
+			Served: true,
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		msg  Message
+	}{
+		{"report", Message{Type: MsgReport, Slot: 5, EdgeID: 2, ModelID: 1, AvgLoss: 0.4, Correct: 30, Samples: 50, EnergyKWh: 1e-6, CompSeconds: 0.05}},
+		{"shard-delta-1000", Message{Type: MsgShardDelta, Slot: 5, Delta: &engine.SlotDelta{Start: 1000, Edges: edges}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := WriteMessage(&buf, &bc.msg); err != nil {
+					b.Fatal(err)
+				}
+				m, err := ReadMessage(&buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchFrame = m
+			}
+		})
+	}
+}
+
+// benchFrame keeps BenchmarkFrameCodec's decoded frames alive.
+var benchFrame *Message
 
 // TestNNRuntimeSlotZeroAllocs enforces the 0 allocs/op gate in the regular
 // test run (benchmarks only execute under -bench), for both engines.

@@ -1,7 +1,9 @@
 package deploy
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -662,4 +664,126 @@ func (r *gatedRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
 		<-r.release
 	}
 	return r.Runtime.RunSlot(slot, modelID)
+}
+
+// serveTwoEdges runs a two-edge parity-world cloud over TCP with retries
+// enabled. Edge 1's connection and runtime go through hurt, which may wrap
+// either; edge 0 serves cleanly.
+func serveTwoEdges(t *testing.T, seed int64, horizon int, policy engine.ErrorPolicy,
+	hurt func(conn net.Conn, rt Runtime) (net.Conn, Runtime)) (*Summary, error) {
+	t.Helper()
+	w := newParityWorld(seed)
+	cloud, _ := chaosCloud(t, w, 2, horizon, seed, RetryConfig{Attempts: 3}, policy)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			var c net.Conn = conn
+			var rt Runtime = &parityRuntime{w: w, edge: i, rng: w.edgeRNG(i)}
+			if i == 1 {
+				c, rt = hurt(conn, rt)
+			}
+			_ = RunEdge(c, i, rt) // may be aborted by the cloud
+		}(i)
+	}
+	sum, err := cloud.Serve(ln)
+	wg.Wait()
+	return sum, err
+}
+
+// TestChaosCorruptReportFailsFast flips one byte of an edge's report frame
+// at one slot. The frame checksum turns the flip into a fatal protocol
+// error, so the fail-fast run aborts with the same checksum error every
+// time, spending no retries on it.
+func TestChaosCorruptReportFailsFast(t *testing.T) {
+	const (
+		seed        = int64(17)
+		corruptSlot = 3
+	)
+	run := func() error {
+		_, err := serveTwoEdges(t, seed, 8, engine.FailFast, func(conn net.Conn, rt Runtime) (net.Conn, Runtime) {
+			fc, err := faults.New(conn, faults.Schedule{{Slot: corruptSlot, Kind: faults.Corrupt}},
+				numeric.SplitRNG(seed, "chaos-corrupt"), func(time.Duration) {})
+			if err != nil {
+				t.Error(err)
+				return conn, rt
+			}
+			crt := &chaosRuntime{Runtime: rt}
+			crt.setConn(fc)
+			return fc, crt
+		})
+		return err
+	}
+	first := run()
+	var pe *ProtocolError
+	if !errors.As(first, &pe) || !strings.Contains(first.Error(), "checksum mismatch") {
+		t.Fatalf("err = %v, want a *ProtocolError for the checksum mismatch", first)
+	}
+	if want := fmt.Sprintf("edge 1 slot %d", corruptSlot); !strings.Contains(first.Error(), want) {
+		t.Errorf("err = %v, want it to name %q", first, want)
+	}
+	if strings.Contains(first.Error(), "retry") {
+		t.Errorf("err = %v: a corrupted frame must not be retried", first)
+	}
+	if again := run(); again == nil || again.Error() != first.Error() {
+		t.Errorf("corrupted run not deterministic:\n first: %v\n again: %v", first, again)
+	}
+}
+
+// nanRuntime reports a NaN average loss at one slot.
+type nanRuntime struct {
+	Runtime
+	nanSlot int
+}
+
+func (r *nanRuntime) RunSlot(slot, modelID int) (SlotReport, error) {
+	rep, err := r.Runtime.RunSlot(slot, modelID)
+	if slot == r.nanSlot {
+		rep.AvgLoss = math.NaN()
+	}
+	return rep, err
+}
+
+// TestChaosNaNReportIsProtocolError pins that a NaN report reaches the
+// cloud and fails ValidateReport at once: it is a fatal protocol error
+// naming the field, never a dropped connection that burns the retry budget
+// waiting for a resume.
+func TestChaosNaNReportIsProtocolError(t *testing.T) {
+	const (
+		seed    = int64(23)
+		horizon = 6
+		nanSlot = 2
+	)
+	hurt := func(conn net.Conn, rt Runtime) (net.Conn, Runtime) {
+		return conn, &nanRuntime{Runtime: rt, nanSlot: nanSlot}
+	}
+	_, err := serveTwoEdges(t, seed, horizon, engine.FailFast, hurt)
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "avgLoss is not finite") {
+		t.Fatalf("fail-fast err = %v, want a *ProtocolError naming avgLoss", err)
+	}
+	sum, err := serveTwoEdges(t, seed, horizon, engine.Degrade, hurt)
+	if err != nil {
+		t.Fatalf("degrade run: %v", err)
+	}
+	if got := sum.Retries[1]; got != 0 {
+		t.Errorf("Retries[1] = %d, want 0: a NaN report must not be retried", got)
+	}
+	if got, want := sum.Downtime[1], horizon-nanSlot; got != want {
+		t.Errorf("Downtime[1] = %d, want %d (down in the NaN slot itself)", got, want)
+	}
+	if !strings.Contains(sum.DownErrors[1], "avgLoss") {
+		t.Errorf("DownErrors[1] = %q, want it to name avgLoss", sum.DownErrors[1])
+	}
 }

@@ -8,15 +8,16 @@
 // protocol fidelity: models are actually shipped as bytes, losses are only
 // observed after inference, and the cloud sees nothing about an edge's data.
 //
-// The wire protocol is length-prefixed JSON: every frame is a 4-byte
-// big-endian length followed by a JSON-encoded Message. JSON keeps frames
-// inspectable; the dominant payload (model weights) is []byte, which
-// encoding/json base64-encodes.
+// The wire protocol is a stream of length-prefixed frames: a 4-byte
+// big-endian length, the Message body, and a CRC-32C of the body that is
+// checked before anything decodes it. The four per-slot messages (Assign,
+// Report, ShardAssign, ShardDelta) travel as fixed-layout binary bodies that
+// carry floats as their raw bits; handshake and control messages stay JSON,
+// which keeps them inspectable. codec.go holds the layout.
 package deploy
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -123,9 +124,9 @@ type Message struct {
 	// Horizon, NumModels (shared field above), and Degrade (whether the
 	// shard absorbs edge failures instead of failing fast). ShardAssign
 	// carries the shard-local Arms/Downloads for Slot; ShardDelta answers
-	// with the shard's per-slot reduction. encoding/json round-trips float64
-	// exactly, so a delta that crossed this hop folds to the same bits as
-	// one that never left the root's process.
+	// with the shard's per-slot reduction. The binary body carries every
+	// float64 as its raw bits, so a delta that crossed this hop folds to the
+	// same bits as one that never left the root's process.
 	RegionID  int               `json:"regionId,omitempty"`
 	Start     int               `json:"start,omitempty"`
 	Count     int               `json:"count,omitempty"`
@@ -153,21 +154,17 @@ type ModelMeta struct {
 	SizeBytes int64   `json:"sizeBytes"`
 }
 
-// WriteMessage frames and writes one message.
+// WriteMessage frames and writes one message, as two writes: the 4-byte
+// header, then the body with its checksum.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
+	frame, err := encodeFrame(m)
 	if err != nil {
-		return fmt.Errorf("deploy: marshal: %w", err)
+		return err
 	}
-	if len(body) > maxFrame {
-		return protocolErrorf("frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(frame[:4]); err != nil {
 		return fmt.Errorf("deploy: write header: %w", err)
 	}
-	if _, err := w.Write(body); err != nil {
+	if _, err := w.Write(frame[4:]); err != nil {
 		return fmt.Errorf("deploy: write body: %w", err)
 	}
 	return nil
@@ -176,8 +173,9 @@ func WriteMessage(w io.Writer, m *Message) error {
 // ReadMessage reads one framed message. Failures follow the error taxonomy
 // in errors.go: truncated reads are transient I/O errors (the connection
 // died, possibly mid-frame — a resume can heal it), while an impossible
-// frame length, undecodable JSON, or an unknown message type is a fatal
-// *ProtocolError (the peer is broken; retrying cannot help).
+// frame length, a checksum mismatch, an undecodable body, or an unknown
+// message type is a fatal *ProtocolError (the peer is broken; retrying
+// cannot help).
 func ReadMessage(r io.Reader) (*Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -187,38 +185,20 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if n > maxFrame {
 		return nil, protocolErrorf("frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, min(n, frameChunk))
+	if n < crcSize {
+		return nil, protocolErrorf("frame of %d bytes cannot hold its checksum", n)
+	}
+	frame := make([]byte, min(n, frameChunk))
 	for read := 0; ; {
-		if _, err := io.ReadFull(r, body[read:]); err != nil {
+		if _, err := io.ReadFull(r, frame[read:]); err != nil {
 			return nil, fmt.Errorf("deploy: read body: %w", err)
 		}
-		if read = len(body); read == int(n) {
+		if read = len(frame); read == int(n) {
 			break
 		}
-		body = append(body, make([]byte, min(int(n)-read, read))...)
+		frame = append(frame, make([]byte, min(int(n)-read, read))...)
 	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, protocolErrorf("unmarshal: %v", err)
-	}
-	if m.Type < MsgHello || m.Type > MsgShardAdopt {
-		return nil, protocolErrorf("unknown message type %d", m.Type)
-	}
-	// omitempty never writes an empty slice, so a list spelled "[]" decodes
-	// to nil, as an absent one does: a message then re-encodes to itself, and
-	// no validator can tell the two spellings apart.
-	m.Models, m.Weights, m.Arms, m.Downloads = nilIfEmpty(m.Models), nilIfEmpty(m.Weights), nilIfEmpty(m.Arms), nilIfEmpty(m.Downloads)
-	if c := m.Checkpoint; c != nil {
-		c.Down, c.DownErrors, c.JitterDraws = nilIfEmpty(c.Down), nilIfEmpty(c.DownErrors), nilIfEmpty(c.JitterDraws)
-	}
-	return &m, nil
-}
-
-func nilIfEmpty[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
+	return decodeFrame(frame)
 }
 
 // ValidateReport defensively checks a MsgReport before its numbers reach

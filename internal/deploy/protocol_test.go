@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -98,6 +99,76 @@ func TestReadMessageErrors(t *testing.T) {
 	buf.Write(body)
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Error("expected error for unknown type")
+	}
+	// A frame in the old format: a JSON body and no checksum trailer.
+	buf.Reset()
+	body = []byte(`{"type":1,"edgeId":3}`)
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	buf.Write(hdr[:])
+	buf.Write(body)
+	var pe *ProtocolError
+	if _, err := ReadMessage(&buf); !errors.As(err, &pe) {
+		t.Errorf("frame without a checksum: err = %v, want *ProtocolError", err)
+	}
+}
+
+// frameBody wraps body in a valid header and checksum trailer.
+func frameBody(body []byte) []byte {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)+crcSize))
+	frame = append(frame, body...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, castagnoli))
+}
+
+// encodeBody returns m's frame body, without header and trailer.
+func encodeBody(t testing.TB, m *Message) []byte {
+	t.Helper()
+	frame, err := encodeFrame(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[4 : len(frame)-crcSize]
+}
+
+// TestDecodeRejectsBadBodies feeds bodies under a valid checksum, so each
+// case reaches the decoder itself: every non-canonical or foreign body is a
+// fatal *ProtocolError.
+func TestDecodeRejectsBadBodies(t *testing.T) {
+	report := encodeBody(t, &roundTripMessages[3].msg)
+	assign := encodeBody(t, &Message{Type: MsgAssign, Slot: 1, Weights: []byte{9}})
+	shard := encodeBody(t, &Message{Type: MsgShardAssign, Arms: []int{1}, Downloads: []bool{true}})
+	withByte := func(b []byte, i int, v byte) []byte {
+		b = bytes.Clone(b)
+		b[i] = v
+		return b
+	}
+	cases := []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"empty body", nil, "empty frame body"},
+		{"bad json", []byte("{{{"), "unmarshal"},
+		{"unknown json type", []byte(`{"type":99}`), "unknown message type 99"},
+		{"report spelled as json", []byte(`{"type":4,"slot":1}`), "only as binary"},
+		{"shard delta spelled as json", []byte(`{"type":10,"delta":{"start":0,"edges":[]}}`), "only as binary"},
+		{"foreign first byte", []byte{byte(MsgDone), 0}, "neither JSON nor"},
+		{"truncated report", report[:len(report)-1], "truncated"},
+		{"trailing byte", append(bytes.Clone(report), 0), "1 trailing bytes"},
+		{"bool byte 2", withByte(assign, 1+2*wordSize, 2), "want 0 or 1"},
+		{"weights count overrun", withByte(assign, 1+2*wordSize+1, 2), "overruns"},
+		{"arms count overrun", withByte(shard, 1+3*wordSize, 2), "overruns"},
+		{"download bool byte 2", withByte(shard, len(shard)-1, 2), "want 0 or 1"},
+		{"delta presence byte 2", withByte(encodeBody(t, &Message{Type: MsgShardDelta}), 1+wordSize, 2), "want 0 or 1"},
+		{"delta edge count overrun", append(encodeBody(t, &Message{Type: MsgShardDelta, Delta: &engine.SlotDelta{}})[:1+wordSize+1+wordSize], 0xff, 0xff, 0xff, 0xff), "overruns"},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := ReadMessage(bytes.NewReader(frameBody(tt.body)))
+			var pe *ProtocolError
+			if !errors.As(err, &pe) || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("err = %v, want *ProtocolError containing %q", err, tt.want)
+			}
+		})
 	}
 }
 
@@ -292,67 +363,179 @@ func TestReadMessageBoundsAllocation(t *testing.T) {
 	}
 }
 
-// FuzzReadMessage feeds arbitrary bytes to the frame decoder. No input may
-// panic; every failure must fall inside the error taxonomy (a fatal
-// *ProtocolError or a Transient I/O error); a decoded message must survive
-// re-encoding unchanged; and the wire validators must not panic on it.
-func FuzzReadMessage(f *testing.F) {
-	frame := func(n uint32, body string) []byte {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], n)
-		return append(hdr[:], body...)
-	}
-	// The frames the protocol tests above build, valid and broken.
-	msgs := []Message{
-		{Type: MsgHello, EdgeID: 2, Resume: true, ResumeToken: "tok-2", DoneSlots: 17},
-		{Type: MsgShardAssign, Slot: 3, Start: 4, Count: 2, Arms: []int{0, 1}, Downloads: []bool{true, false}},
-		{Type: MsgShardDelta, Slot: 3, Delta: &engine.SlotDelta{Start: 4, Edges: []engine.EdgeDelta{
-			{Loss: 0.5, InferLoss: 0.4, Compute: 0.1, Correct: 3, Samples: 5, InferKWh: 1e-6, Served: true},
-			{WentDown: true, DownError: "edge down", Retries: 2},
-		}}},
-		{Type: MsgShardAdopt, Slot: 6, Checkpoint: &engine.ShardCheckpoint{
-			Start: 4, Count: 2, DoneSlots: 6, FleetSeed: 9,
-			Down: []bool{false, true}, DownErrors: []string{"", "edge down"}, JitterDraws: []int{0, 3},
-		}},
-	}
+// regionalMessages are regional-tier frames, valid and degenerate, that the
+// codec tests send alongside roundTripMessages.
+var regionalMessages = []Message{
+	{Type: MsgHello, EdgeID: 2, Resume: true, ResumeToken: "tok-2", DoneSlots: 17},
+	{Type: MsgShardAssign, Slot: 3, Start: 4, Count: 2, Arms: []int{0, 1}, Downloads: []bool{true, false}},
+	{Type: MsgShardDelta, Slot: 3, Delta: &engine.SlotDelta{Start: 4, Edges: []engine.EdgeDelta{
+		{Loss: 0.5, InferLoss: 0.4, Compute: 0.1, Correct: 3, Samples: 5, InferKWh: 1e-6, Served: true},
+		{WentDown: true, DownError: "edge down", Retries: 2},
+	}}},
+	{Type: MsgShardDelta, Slot: 4},
+	{Type: MsgShardAdopt, Slot: 6, Checkpoint: &engine.ShardCheckpoint{
+		Start: 4, Count: 2, DoneSlots: 6, FleetSeed: 9,
+		Down: []bool{false, true}, DownErrors: []string{"", "edge down"}, JitterDraws: []int{0, 3},
+	}},
+}
+
+// seedMessages lists every message the codec tests frame.
+func seedMessages() []Message {
+	msgs := append([]Message(nil), regionalMessages...)
 	for _, tt := range roundTripMessages {
 		msgs = append(msgs, tt.msg)
 	}
-	for i := range msgs {
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, &msgs[i]); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte("ab"))
-	f.Add(frame(maxFrame+1, ""))
-	f.Add(frame(100, "{}"))
-	f.Add(frame(3, "{{{"))
-	f.Add(frame(11, `{"type":99}`))
-	// Empty lists decode as absent ones, so re-encoding cannot change them.
-	emptyLists := `{"type":12,"arms":[],"checkpoint":{"down":[]}}`
-	f.Add(frame(uint32(len(emptyLists)), emptyLists))
+	return msgs
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadMessage(bytes.NewReader(data))
+// TestEveryByteFlipIsRejected flips each byte of each seed frame in turn
+// (^0xff). A flip in the body or the trailer fails the checksum. A flip in
+// the length either exceeds the limit, leaves no room for the checksum, or
+// moves the frame's end, so that some other four bytes are read as the
+// trailer; for a longer length, the stream supplies the bytes that follow,
+// as a live connection would. Every flip must be a fatal *ProtocolError:
+// none may decode, and none may pass for a dropped connection.
+func TestEveryByteFlipIsRejected(t *testing.T) {
+	for _, m := range seedMessages() {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, &m); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		for i := range frame {
+			flipped := bytes.Clone(frame)
+			flipped[i] ^= 0xff
+			got, err := ReadMessage(io.MultiReader(bytes.NewReader(flipped), zeros{}))
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Errorf("type %d frame, byte %d of %d flipped: got %+v, err = %v, want *ProtocolError", m.Type, i, len(frame), got, err)
+			}
+		}
+	}
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(b []byte) (int, error) {
+	clear(b)
+	return len(b), nil
+}
+
+// TestBinaryBodiesAreBitExact round-trips the per-slot messages with the
+// values a text encoding loses or rejects: NaN (with a payload), -0, ±Inf,
+// subnormals and the extreme int64 counts. Every field must come back with
+// the same bits.
+func TestBinaryBodiesAreBitExact(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	sub := math.SmallestNonzeroFloat64
+	negZero := math.Copysign(0, -1)
+	cases := []Message{
+		{Type: MsgAssign, Slot: math.MinInt64, ModelID: math.MaxInt64, Switch: true, Weights: []byte{0, 0xff}},
+		{Type: MsgAssign, Slot: math.MaxInt64, ModelID: -1},
+		{Type: MsgReport, Slot: math.MaxInt64, EdgeID: math.MinInt64, ModelID: -1,
+			AvgLoss: nan, Correct: math.MinInt64, Samples: math.MaxInt64, EnergyKWh: negZero, CompSeconds: math.Inf(1)},
+		{Type: MsgReport, AvgLoss: math.Inf(-1), EnergyKWh: sub, CompSeconds: -sub},
+		{Type: MsgShardAssign, Slot: 1, Start: math.MinInt64, Count: math.MaxInt64,
+			Arms: []int{math.MinInt64, 0, math.MaxInt64}, Downloads: []bool{true, false, true}},
+		{Type: MsgShardDelta, Slot: math.MinInt64, Delta: &engine.SlotDelta{Start: math.MaxInt64, Edges: []engine.EdgeDelta{
+			{Loss: nan, InferLoss: negZero, Compute: math.Inf(1), Correct: math.MinInt64, Samples: math.MaxInt64,
+				InferKWh: sub, TransferKWh: math.Inf(-1), Retries: math.MinInt64, Served: true, DownError: "\xff\x00 not utf-8"},
+			{WentDown: true, Loss: math.MaxFloat64, Retries: math.MaxInt64},
+		}}},
+	}
+	for _, m := range cases {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, &m); err != nil {
+			t.Fatalf("type %d: WriteMessage: %v", m.Type, err)
+		}
+		got, err := ReadMessage(&buf)
+		if err != nil {
+			t.Fatalf("type %d: ReadMessage: %v", m.Type, err)
+		}
+		if !sameBits(reflect.ValueOf(got).Elem(), reflect.ValueOf(&m).Elem()) {
+			t.Errorf("type %d: bits changed in transit:\n sent: %+v\n  got: %+v", m.Type, m, *got)
+		}
+	}
+}
+
+// sameBits is reflect.DeepEqual with floats compared by their bits, so NaN
+// equals the identical NaN and -0 differs from +0.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Interface:
+		return a.IsNil() && b.IsNil()
+	}
+	return a.Equal(b)
+}
+
+// FuzzReadMessage feeds arbitrary frame bodies to the decoder, each wrapped
+// in a valid header and checksum trailer so mutations reach both decoders
+// rather than stopping at the checksum. No input may panic; every failure
+// must be a fatal *ProtocolError; a decoded message must survive re-encoding
+// unchanged (a binary body byte for byte, a JSON one field for field); and
+// the wire validators must not panic on it.
+func FuzzReadMessage(f *testing.F) {
+	for _, m := range seedMessages() {
+		f.Add(encodeBody(f, &m))
+	}
+	f.Add([]byte{})
+	f.Add([]byte("{{{"))
+	f.Add([]byte(`{"type":99}`))
+	f.Add([]byte(`{"type":4,"slot":1}`))
+	// Empty lists decode as absent ones, so re-encoding cannot change them.
+	f.Add([]byte(`{"type":12,"arms":[],"checkpoint":{"down":[]}}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := ReadMessage(bytes.NewReader(frameBody(body)))
 		if err != nil {
 			var pe *ProtocolError
-			if !errors.As(err, &pe) && !Transient(err) {
-				t.Fatalf("error outside the taxonomy: %v", err)
+			if !errors.As(err, &pe) {
+				t.Fatalf("a whole frame failed outside ProtocolError: %v", err)
 			}
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		again, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("decode of re-encoded message: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("re-encoding changed the message:\n first: %+v\n again: %+v", m, again)
+		if binaryBody(m.Type) {
+			// reflect.DeepEqual is false for NaN, so compare the bytes.
+			if again := encodeBody(t, m); !bytes.Equal(again, body) {
+				t.Fatalf("re-encoding changed the body:\n first: %x\n again: %x", body, again)
+			}
+		} else {
+			var buf bytes.Buffer
+			if err := WriteMessage(&buf, m); err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			again, err := ReadMessage(&buf)
+			if err != nil {
+				t.Fatalf("decode of re-encoded message: %v", err)
+			}
+			if !reflect.DeepEqual(m, again) {
+				t.Fatalf("re-encoding changed the message:\n first: %+v\n again: %+v", m, again)
+			}
 		}
 		_ = ValidateReport(m)
 		_ = ValidateDelta(m, m.Start, m.Count, m.Slot)

@@ -3,9 +3,9 @@
 // processes each own one contiguous shard of the fleet — admitting their
 // edges over TCP exactly as the monolithic cloud would — and stream per-slot
 // SlotDeltas back to the root. Because deltas carry per-edge terms (never
-// partial float sums) and encoding/json round-trips float64 exactly, the
-// root's fold is bit-identical to a single-process run over the same fleet;
-// the monolithic/regional parity test pins this.
+// partial float sums) and the binary ShardDelta frame carries each float64
+// as its raw bits, the root's fold is bit-identical to a single-process run
+// over the same fleet; the monolithic/regional parity test pins this.
 //
 // The tier is elastic: the root's listener stays open for the whole run, so
 // a dropped coordinator can redial and resume its session from the root's

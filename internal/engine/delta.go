@@ -17,10 +17,11 @@ import (
 // float addition happens exactly once, at the root, in canonical edge-index
 // order, replaying the serial accumulation op for op.
 //
-// The JSON tags make the delta the wire unit of the regional-aggregator tier
-// (internal/deploy): encoding/json round-trips float64 exactly, so a delta
-// that crosses a TCP hop folds to the same bits as one that never left the
-// process.
+// The delta is the wire unit of the regional-aggregator tier
+// (internal/deploy), whose binary ShardDelta body carries every float64 as
+// its raw bits, so a delta that crosses a TCP hop folds to the same bits as
+// one that never left the process. encoding/json round-trips float64
+// exactly too, so the JSON tags give a faithful text form.
 type EdgeDelta struct {
 	// Loss, InferLoss, Compute, Correct, Samples, InferKWh, TransferKWh, and
 	// Retries mirror Observation (zeroed while the edge is down, except

@@ -12,8 +12,8 @@
 // deploy.WriteMessage emits each frame as two Write calls (a 4-byte length
 // header, then the body), so Conn tracks header/body parity and lands
 // Corrupt and Truncate faults on frame bodies, which surface at the peer as
-// fatal protocol errors (bad JSON) and transient mid-frame connection
-// losses respectively.
+// fatal protocol errors (a frame checksum mismatch) and transient mid-frame
+// connection losses respectively.
 //
 // Slot indexing is cooperative: the harness driving the connection calls
 // SetSlot when a slot begins (an edge agent knows it from the Assign frame),
@@ -46,7 +46,7 @@ const (
 	// closes the connection: the peer observes a mid-frame EOF.
 	Truncate
 	// Corrupt flips one random byte of the next frame body: the peer
-	// observes a fatal protocol (JSON) error.
+	// observes a fatal protocol error (a checksum mismatch).
 	Corrupt
 )
 
